@@ -4,7 +4,8 @@ Not part of tier-1 (``pytest.ini`` pins ``testpaths = tests``): run them
 explicitly with ``PYTHONPATH=src python -m pytest benchmarks/ -q``.
 
 Decision-identity is asserted unconditionally — every bench cell runs both
-flavours and compares mappings/makespans before its timing counts
+the product code and its from-scratch oracle (:mod:`repro.oracle`) and
+compares mappings/makespans before its timing counts
 (:mod:`repro.experiments.bench` refuses to report unchecked speedups). The
 *speed* floors are additionally gated behind ``REPRO_PERF_ASSERT=1``
 because wall-clock ratios are only meaningful on a quiet machine; without

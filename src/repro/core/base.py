@@ -38,15 +38,13 @@ class Scheduler(abc.ABC):
     whole sub-batch sequence (BiPartition's first level) may cache it across
     calls. ``uses_subbatches`` is False for the base heuristics that run the
     whole batch at once and rely on on-demand eviction.
+
+    Schedulers have one code path. The from-scratch MCT-family oracles
+    used by the differential tests live in :mod:`repro.oracle`.
     """
 
     name: str = "abstract"
     uses_subbatches: bool = True
-    #: When True, schedulers (and the runtime, via ``run_batch``) use their
-    #: original pre-incremental code paths. The optimized kernels are
-    #: decision-identical — this flag exists for the differential-
-    #: equivalence harness and the ``repro bench`` baseline measurements.
-    reference: bool = False
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed

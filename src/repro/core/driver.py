@@ -119,11 +119,13 @@ def run_batch(
     telemetry: bool = False,
     timeseries: bool | ProbeConfig | dict | None = None,
     faults: FaultSpec | dict | None = None,
-    reference: bool = False,
     state: ClusterState | None = None,
     fault_model: FaultModel | None = None,
 ) -> BatchResult:
     """Run a whole batch under one scheduler; returns the end-to-end result.
+
+    The from-scratch twin of this function, for differential tests and
+    ``repro bench`` only, is :func:`repro.oracle.reference_run_batch`.
 
     Parameters
     ----------
@@ -179,12 +181,6 @@ def run_batch(
         exponential backoff and source failover inside the runtime. A null
         spec is equivalent to ``None``: the simulation is bit-identical to
         a fault-free run. See ``docs/faults.md``.
-    reference:
-        Run the original from-scratch scheduling kernels and runtime scans
-        instead of the incremental/cached ones. Decisions, makespans and
-        logs are identical either way (differentially tested); the flag
-        exists as the oracle for equivalence tests and ``repro bench``.
-        See ``docs/performance.md``.
     state:
         A pre-existing :class:`~repro.cluster.state.ClusterState` to run
         against instead of the paper's cold start (all files on the storage
@@ -200,7 +196,6 @@ def run_batch(
     """
     if isinstance(scheduler, str):
         scheduler = make_scheduler(scheduler, **(scheduler_kwargs or {}))
-    scheduler.reference = reference
     scheduler.reset()
 
     if fault_model is not None and faults is not None:
@@ -229,7 +224,6 @@ def run_batch(
             telemetry=telemetry,
             probe_config=resolve_timeseries(timeseries),
             fault_spec=resolve_spec(faults),
-            reference=reference,
             state=state,
             fault_model=fault_model,
         )
@@ -253,7 +247,6 @@ def _run_batch_inner(
     telemetry: bool,
     probe_config: ProbeConfig | None,
     fault_spec: FaultSpec | None,
-    reference: bool = False,
     state: ClusterState | None = None,
     fault_model: FaultModel | None = None,
 ) -> BatchResult:
@@ -289,7 +282,6 @@ def _run_batch_inner(
         overlap_io_compute=overlap_io_compute,
         audit=audit,
         faults=fault_model,
-        reference=reference,
     )
     probe: TimeSeriesProbe | None = None
     if probe_config is not None:

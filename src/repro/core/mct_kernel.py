@@ -1,4 +1,4 @@
-"""Shared MCT-family scheduling kernels: reference and incremental.
+"""The shared incremental MCT-family scheduling kernel.
 
 The MinMin / MaxMin / Sufferage heuristics (Sections 3 and related work
 [Casanova et al.]) all iterate the same inner loop: build the minimum-
@@ -8,33 +8,29 @@ per round, apply implicit replication, and refresh the staging estimates of
 tasks sharing files with the committed one. The paper's Fig. 6(b) charges
 this loop as O(T² · C) scheduling overhead.
 
-This module holds two decision-identical implementations of that loop:
+``incremental_mct_map`` runs that loop without rebuilding the matrix
+after round one. A persistent value buffer ``vals`` is kept equal —
+element for element — to what the full rescan would have built this
+round, by rewriting only the entries a commit can change: the committed
+node's column (its ``ready`` term moved), the rows sharing a file with the
+committed task (their ``stage`` row moved; refreshed in one batched NumPy
+operation), and the committed row itself (masked to ``inf``). Selection
+then applies the scheme's own vectorised ``_pick`` to the buffer, so
+MinMin, MaxMin and Sufferage flow through one kernel unchanged.
 
-``reference_mct_map``
-    The original per-round full-matrix scan, kept verbatim as the ground
-    truth for the differential-equivalence harness
-    (``tests/core/test_differential_kernels.py``) and the benchmark
-    baseline (``repro bench``). Selected with
-    ``run_batch(..., reference=True)`` / ``scheduler.reference = True``.
+The full rescan is the kernel's ground truth. It lives outside the
+product code as :func:`repro.oracle.reference_mct_map` (the "reference"
+below), used only by the differential-equivalence tests
+(``tests/core/test_differential_kernels.py``) and the ``repro bench``
+baseline.
 
-``incremental_mct_map``
-    Never rebuilds the matrix after round one. A persistent value buffer
-    ``vals`` is kept equal — element for element — to what the reference
-    would have built this round, by rewriting only the entries a commit
-    can change: the committed node's column (its ``ready`` term moved),
-    the rows sharing a file with the committed task (their ``stage`` row
-    moved; refreshed in one batched NumPy operation), and the committed
-    row itself (masked to ``inf``). Selection then applies the scheme's
-    own vectorised ``_pick`` to the buffer, so MinMin, MaxMin and
-    Sufferage flow through one kernel unchanged.
-
-    Why value maintenance instead of a lazy per-row best heap: on the
-    paper's homogeneous platforms huge groups of rows tie on the same
-    best column (identical node speeds and disk bandwidths), so the
-    committed column invalidates O(T) cached row-minima *every round* and
-    per-row laziness degenerates to the full rescan plus heap overhead —
-    measured 10x slower than the reference. Rewriting one column is O(T),
-    allocation-free, and exact.
+Why value maintenance instead of a lazy per-row best heap: on the paper's
+homogeneous platforms huge groups of rows tie on the same best column
+(identical node speeds and disk bandwidths), so the committed column
+invalidates O(T) cached row-minima *every round* and per-row laziness
+degenerates to the full rescan plus heap overhead — measured 10x slower
+than the reference. Rewriting one column is O(T), allocation-free, and
+exact.
 
 Bit-identity is engineered, not hoped for: every buffer write uses the
 reference's exact expression shape ``(stage + ready) + fixed`` so IEEE-754
@@ -68,9 +64,7 @@ __all__ = [
     "MCTSetup",
     "KernelStats",
     "build_mct_setup",
-    "stage_row",
     "refresh_stage_rows",
-    "reference_mct_map",
     "incremental_mct_map",
 ]
 
@@ -314,16 +308,6 @@ def build_mct_setup(
     )
 
 
-def stage_row(setup: MCTSetup, k: int) -> np.ndarray:
-    """Estimated staging time of task ``k`` on every node (reference form)."""
-    fs = setup.task_files[k]
-    # Per-file cost on node i: 0 if present; else replica time if any copy
-    # exists; else remote time.
-    best_absent = np.where(setup.any_copy[fs], setup.rep_t[fs], setup.remote_t[fs])
-    per_file = np.where(setup.on_node[fs, :].T, 0.0, best_absent)  # (c, |fs|)
-    return per_file.sum(axis=1)
-
-
 def refresh_stage_rows(
     stage: np.ndarray, setup: MCTSetup, rows: Iterable[int] | np.ndarray
 ) -> None:
@@ -334,7 +318,8 @@ def refresh_stage_rows(
     over its last axis — the same contiguous length-L lanes NumPy's
     pairwise summation reduces in the per-row reference
     (``per_file.sum(axis=1)`` on a ``(c, L)`` block), keeping every
-    resulting float bit-identical to :func:`stage_row`.
+    resulting float bit-identical to the oracle's
+    :func:`repro.oracle.stage_row`.
     """
     rows_arr = np.asarray(
         rows if isinstance(rows, np.ndarray) else list(rows), dtype=np.intp
@@ -349,65 +334,6 @@ def refresh_stage_rows(
         present = setup.on_node[fs].transpose(0, 2, 1)  # (m, c, L)
         per_file = np.where(present, 0.0, best_absent[:, None, :])
         stage[rs] = per_file.sum(axis=2)
-
-
-def reference_mct_map(
-    setup: MCTSetup,
-    pick: Callable[[np.ndarray], tuple[int, int]],
-    pick_rule: str,
-    log: DecisionLog | None,
-) -> dict[str, int]:
-    """The original O(T²·C) full-rescan loop (ground truth, unchanged)."""
-    n, c = setup.n, setup.c
-    tasks, nodes = setup.tasks, setup.nodes
-    task_files, readers = setup.task_files, setup.readers
-    on_node, any_copy, fixed = setup.on_node, setup.any_copy, setup.fixed
-
-    stage = (
-        np.vstack([stage_row(setup, k) for k in range(n)])
-        if n
-        else np.zeros((0, c))
-    )
-    ready = np.zeros(c)
-    unscheduled = np.ones(n, dtype=bool)
-    mapping: dict[str, int] = {}
-
-    for _ in range(n):
-        mct = stage + ready + fixed  # (n, c)
-        mct[~unscheduled, :] = np.inf
-        k, i = pick(mct)
-        k, i = int(k), int(i)
-        mapping[tasks[k].task_id] = nodes[i]
-        if log is not None:
-            finite = np.isfinite(mct)
-            evaluated = int(finite.sum())
-            ties = int((np.abs(mct[finite] - mct[k, i]) <= _TIE_TOL).sum()) - 1
-            log.record(
-                tasks[k].task_id,
-                nodes[i],
-                reason=pick_rule,
-                estimated_completion=float(mct[k, i]),
-                evaluated=evaluated,
-                ties=max(ties, 0),
-            )
-            telemetry.count("scheduler/evaluations", evaluated)
-            telemetry.count("scheduler/decisions")
-        ready[i] = mct[k, i]
-        unscheduled[k] = False
-
-        # Implicit replication: task k's files are now (planned) on i.
-        fs = task_files[k]
-        on_node[fs, i] = True
-        any_copy[fs] = True
-        # Refresh the staging estimate of every pending task that shares
-        # a file with the newly placed set.
-        dirty: set[int] = set()
-        for f in fs.tolist():
-            dirty.update(readers[f])
-        for t in dirty:
-            if unscheduled[t]:
-                stage[t] = stage_row(setup, t)
-    return mapping
 
 
 def incremental_mct_map(

@@ -14,12 +14,11 @@ runtime; the estimates here intentionally mirror the runtime's cost model
 without simulating port contention (that is what makes MinMin cheap relative
 to the IP scheme but still O(T^2 * C), visibly slower than JDP in Fig. 6b).
 
-The mapping loop lives in :mod:`repro.core.mct_kernel` in two
-decision-identical flavours: the original per-round full-matrix rescan
-(``scheduler.reference = True``) and the default incremental kernel that
-maintains the MCT value buffer in place, rewriting only the entries each
-commit moved. MaxMin and Sufferage (:mod:`repro.core.mct_family`) reuse
-both through the :meth:`_pick` selection hook.
+The mapping loop is the incremental kernel of :mod:`repro.core.mct_kernel`,
+which maintains the MCT value buffer in place, rewriting only the entries
+each commit moved. MaxMin and Sufferage (:mod:`repro.core.mct_family`)
+reuse it through the :meth:`_pick` selection hook. The original per-round
+full-matrix rescan survives only as the test oracle in :mod:`repro.oracle`.
 """
 
 from __future__ import annotations
@@ -32,13 +31,7 @@ from ..cluster.state import ClusterState
 from ..obs.core import telemetry
 from ..obs.decisions import DecisionLog
 from .base import Scheduler, register_scheduler
-from .mct_kernel import (
-    _TIE_TOL,
-    KernelStats,
-    build_mct_setup,
-    incremental_mct_map,
-    reference_mct_map,
-)
+from .mct_kernel import _TIE_TOL, KernelStats, build_mct_setup, incremental_mct_map
 from .plan import SubBatchPlan
 
 __all__ = ["MinMinScheduler", "_TIE_TOL"]
@@ -51,15 +44,15 @@ class MinMinScheduler(Scheduler):
     The selection rule is pluggable so the MaxMin and Sufferage variants
     (:mod:`repro.core.mct_family`) can reuse the whole data-aware MCT
     machinery and differ only in which task they commit: :meth:`_pick`
-    drives both the reference full-matrix path and the incremental kernel
-    (which hands it a bit-identical value buffer).
+    drives the incremental kernel, which hands it a value buffer
+    bit-identical to the full MCT matrix.
     """
 
     uses_subbatches = False
     #: Selection-rule label recorded on each Decision while telemetry is on.
     pick_rule = "global-min-mct"
-    #: Work accounting of the last incremental mapping call (None on the
-    #: reference path); reported by ``repro bench``.
+    #: Work accounting of the last mapping call (None before the first);
+    #: reported by ``repro bench``.
     kernel_stats: KernelStats | None = None
 
     def _pick(self, mct: np.ndarray) -> tuple[int, int]:
@@ -82,6 +75,14 @@ class MinMinScheduler(Scheduler):
         return SubBatchPlan(task_ids=list(pending), mapping=mapping, staging=None)
 
     # -- mapping ------------------------------------------------------------------
+    def _active_log(self) -> DecisionLog | None:
+        """The decision log to record into: only while telemetry is on."""
+        if not telemetry.enabled:
+            return None
+        if self.decision_log is None:
+            self.decision_log = DecisionLog(scheme=self.name)
+        return self.decision_log
+
     def _map(
         self,
         batch: Batch,
@@ -90,15 +91,9 @@ class MinMinScheduler(Scheduler):
         state: ClusterState,
     ) -> dict[str, int]:
         setup = build_mct_setup(batch, pending, platform, state)
-        log: DecisionLog | None = None
-        if telemetry.enabled:
-            if self.decision_log is None:
-                self.decision_log = DecisionLog(scheme=self.name)
-            log = self.decision_log
-        if self.reference:
-            self.kernel_stats = None
-            return reference_mct_map(setup, self._pick, self.pick_rule, log)
-        mapping, stats = incremental_mct_map(setup, self._pick, self.pick_rule, log)
+        mapping, stats = incremental_mct_map(
+            setup, self._pick, self.pick_rule, self._active_log()
+        )
         self.kernel_stats = stats
         if telemetry.enabled:
             # Surface the kernel's real-work counters per run (manifest

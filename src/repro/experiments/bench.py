@@ -1,10 +1,11 @@
 """Wall-clock benchmarks: incremental kernels vs their reference oracles.
 
 The incremental MCT kernel (:mod:`repro.core.mct_kernel`) and the runtime
-hot-path caches (:class:`repro.cluster.runtime.Runtime` with
-``reference=False``) are *decision-identical* rewrites of the original
-from-scratch scans — the only observable difference allowed is wall-clock
-time. This module measures that difference on fixed cells and **refuses to
+hot-path caches (:class:`repro.cluster.runtime.Runtime`) are
+*decision-identical* rewrites of the original from-scratch scans, which
+survive as the oracles of :mod:`repro.oracle` (this is the only product
+module allowed to import it). The only observable difference allowed is
+wall-clock time. This module measures that difference on fixed cells and **refuses to
 report a speedup that isn't decision-checked**: every cell runs both
 flavours and asserts identical mappings (and, end-to-end, identical
 makespans) before timing is accepted.
@@ -42,6 +43,7 @@ from ..cluster.state import ClusterState
 from ..core.base import make_scheduler
 from ..core.driver import run_batch
 from ..obs.core import telemetry
+from ..oracle import make_reference_scheduler, reference_run_batch
 from ..workloads.image import generate_image_batch
 
 __all__ = [
@@ -130,8 +132,8 @@ def bench_mapping_cell(
         for _ in range(repeats):
             for reference in (True, False):
                 state = ClusterState.initial(platform, batch)
-                sched = make_scheduler(scheme, seed=0)
-                sched.reference = reference
+                make = make_reference_scheduler if reference else make_scheduler
+                sched = make(scheme, seed=0)
                 t0 = time.perf_counter()
                 plan = sched.next_subbatch(batch, task_ids, platform, state)
                 timings[reference] = min(
@@ -180,15 +182,12 @@ def bench_end_to_end_cell(
     timings: dict[bool, float] = {}
     shapes: dict[bool, tuple] = {}
     for reference in (True, False):
+        run = reference_run_batch if reference else run_batch
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            result = run_batch(
-                batch,
-                platform,
-                scheme,
-                candidate_limit=candidate_limit,
-                reference=reference,
+            result = run(
+                batch, platform, scheme, candidate_limit=candidate_limit
             )
             best = min(best, time.perf_counter() - t0)
         timings[reference] = best

@@ -1,9 +1,9 @@
 """Differential decision-equivalence: optimized kernels vs reference oracles.
 
 The incremental MCT kernel (:mod:`repro.core.mct_kernel`) and the runtime
-hot-path caches (:class:`repro.cluster.runtime.Runtime`) keep the original
-implementations alive behind ``reference=True``. These tests run both
-flavours on the same inputs and require *identical* decisions — mappings,
+hot-path caches (:class:`repro.cluster.runtime.Runtime`) have from-scratch
+twins in the test-only oracle module :mod:`repro.oracle`. These tests run
+both flavours on the same inputs and require *identical* decisions — mappings,
 DecisionLog records, telemetry counters, task records and makespans — not
 merely close ones. Layers:
 
@@ -23,6 +23,7 @@ from repro.cluster.state import ClusterState
 from repro.core.base import make_scheduler
 from repro.core.driver import run_batch
 from repro.obs.core import telemetry
+from repro.oracle import make_reference_scheduler, reference_run_batch
 from repro.workloads.image import generate_image_batch
 
 FAULTS = {
@@ -45,8 +46,8 @@ def _kernel_run(scheme: str, n: int, c: int, overlap: str, seed: int,
     fids = sorted(batch.files)
     for f in rng.choice(fids, size=min(20, len(fids)), replace=False):
         state.place(int(rng.integers(c)), f)
-    sched = make_scheduler(scheme, seed=0)
-    sched.reference = reference
+    make = make_reference_scheduler if reference else make_scheduler
+    sched = make(scheme, seed=0)
     telemetry.reset()
     telemetry.enable()
     try:
@@ -111,8 +112,8 @@ def _both(scheme: str, n: int = 36, c: int = 4, **kwargs):
     batch = generate_image_batch(n, "high", num_storage=4, seed=3)
     platform = osc_xio(num_compute=c, num_storage=4,
                       disk_space_mb=kwargs.pop("disk_space_mb", float("inf")))
-    ref = run_batch(batch, platform, scheme, reference=True, **kwargs)
-    opt = run_batch(batch, platform, scheme, reference=False, **kwargs)
+    ref = reference_run_batch(batch, platform, scheme, **kwargs)
+    opt = run_batch(batch, platform, scheme, **kwargs)
     return _signature(ref), _signature(opt)
 
 

@@ -91,6 +91,36 @@ class TestNullEquivalence:
             assert res.makespan == base.makespan
             assert res.fault_stats is None
 
+    @pytest.mark.parametrize("scheme", ["minmin", "jdp", "bipartition"])
+    def test_inert_spec_runs_the_same_loop(self, scheme, monkeypatch):
+        # A real fault model whose only fault never happens (a crash at
+        # t=1e9) stages through the same loop as no model at all: same
+        # task records and the same number of Gantt slot searches, i.e.
+        # no file is costed a second time for its first attempt.
+        import repro.cluster.runtime as runtime
+
+        calls = [0]
+        slot = runtime.earliest_common_slot
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return slot(*args, **kwargs)
+
+        monkeypatch.setattr(runtime, "earliest_common_slot", counting)
+        batch = small_batch()
+        runs = []
+        for faults in (None, {"node_crashes": [{"node": 0, "time": 1e9}]}):
+            calls[0] = 0
+            res = run_batch(batch, osc_xio(4, 4), scheme, faults=faults)
+            records = [
+                (r.task_id, r.node, r.transfers_done, r.exec_start, r.completion)
+                for sb in res.sub_batches
+                for r in sb.execution.records
+            ]
+            runs.append((records, calls[0]))
+        assert runs[1][0] == runs[0][0]
+        assert runs[1][1] == runs[0][1] > 0
+
     def test_faults_change_the_result(self):
         batch = small_batch()
         platform = osc_xio(4, 4)

@@ -15,6 +15,7 @@ from repro.cluster.state import ClusterState
 from repro.core.base import make_scheduler
 from repro.core.driver import run_batch
 from repro.obs.core import telemetry
+from repro.oracle import make_reference_scheduler, reference_run_batch
 from repro.workloads.image import generate_image_batch
 
 
@@ -31,8 +32,8 @@ def map_once(scheme="minmin", n=200, c=8, reference=False):
     batch = generate_image_batch(n, "high", num_storage=8, seed=0)
     platform = osc_xio(num_compute=c, num_storage=8)
     state = ClusterState.initial(platform, batch)
-    sched = make_scheduler(scheme, seed=0)
-    sched.reference = reference
+    make = make_reference_scheduler if reference else make_scheduler
+    sched = make(scheme, seed=0)
     plan = sched.next_subbatch(
         batch, [t.task_id for t in batch.tasks], platform, state
     )
@@ -79,9 +80,8 @@ class TestCounters:
     def test_reference_run_has_no_kernel_counters(self):
         batch = generate_image_batch(16, "high", 4, seed=0)
         platform = osc_xio(num_compute=4, num_storage=4)
-        result = run_batch(
-            batch, platform, "minmin", candidate_limit=25,
-            telemetry=True, reference=True,
+        result = reference_run_batch(
+            batch, platform, "minmin", candidate_limit=25, telemetry=True,
         )
         assert not any(
             k.startswith("kernel/") for k in result.telemetry["counters"]
