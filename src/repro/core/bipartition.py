@@ -269,7 +269,11 @@ class BiPartitionScheduler(Scheduler):
             if total <= cap:
                 continue
             removed: set[str] = set()
-            for f in sorted(needed, key=lambda f: (sharers[f], -batch.file_size(f))):
+            # The file id breaks ties, so the order never depends on the
+            # iteration order of ``needed`` (a set: PYTHONHASHSEED).
+            for f in sorted(
+                needed, key=lambda f: (sharers[f], -batch.file_size(f), f)
+            ):
                 if total <= cap:
                     break
                 removed.add(f)

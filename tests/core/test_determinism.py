@@ -6,6 +6,11 @@ experiment records must be bit-for-bit repeatable — a requirement for a
 reproduction repository.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import osc_osumed, osc_xio
@@ -29,6 +34,37 @@ def test_run_twice_identical(scheme):
         for sb in d["sub_batches"]:
             sb.pop("scheduling_seconds")
     assert da == db
+
+
+_HASH_SEED_PROBE = """
+import hashlib, json
+from repro.cluster import osc_osumed
+from repro.core import run_batch
+from repro.workloads import generate_image_batch
+batch = generate_image_batch(32, "high", 4, seed=3)
+platform = osc_osumed(num_compute=4, num_storage=4, disk_space_mb=700.0)
+result = run_batch(batch, platform, "bipartition")
+mappings = [sorted(sb.plan.mapping.items()) for sb in result.sub_batches]
+print(hashlib.sha256(json.dumps(mappings).encode()).hexdigest())
+"""
+
+
+def test_disk_repair_independent_of_hash_seed():
+    # Under disk pressure BiPartition's Section 5.3 repair drops files
+    # from a set in (sharers, -size) order. Without a final tie-break on
+    # the file id, ties follow set iteration order, which changes with
+    # PYTHONHASHSEED. This batch has such ties: three hash seeds used to
+    # give three different schedules.
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    digests = set()
+    for hash_seed in ("0", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_generators_stable_across_calls():
