@@ -6,16 +6,19 @@ CI runs this twice per pipeline (see ``.github/workflows/ci.yml``):
 * ``run`` executes a small fixed grid of experiment cells — reduced fig5b
   (batch-size sweep under disk pressure), reduced fig6b (scheduling
   overhead) and two fault-injection cells — and writes ``BENCH_<sha>.json``
-  with each cell's simulated makespan, per-task scheduling wall time and
-  end-to-end wall time.
+  with each cell's simulated makespan, decision digest, per-task
+  scheduling wall time and end-to-end wall time.
 * ``compare`` diffs that file against ``benchmarks/BENCH_baseline.json``
   and exits non-zero if any cell's *simulated makespan* moved by more than
-  the tolerance (default 15%, override with ``REPRO_BENCH_TOLERANCE``).
+  the tolerance (default 15%, override with ``REPRO_BENCH_TOLERANCE``), or
+  if any cell's decision digest changed at all.
 
 The simulator is deterministic, so makespans should normally be *exactly*
-baseline; the tolerance absorbs intentional cost-model tuning without CI
-churn, while still catching real regressions. Wall-clock numbers vary by
-machine and are reported but never gate.
+baseline. The digest (a hash of every sub-batch mapping and task record)
+makes that exact: any silent change of a decision or a simulated time
+fails, while the tolerance still bounds how far an intentional model
+change may move a makespan. Wall-clock numbers vary by machine and are
+reported but never gate.
 
 Refreshing the baseline after an intentional semantic change::
 
@@ -26,6 +29,7 @@ Refreshing the baseline after an intentional semantic change::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform as _platform
@@ -37,7 +41,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import __version__  # noqa: E402
-from repro.experiments import ExperimentConfig, run_config  # noqa: E402
+from repro.core.plan import BatchResult  # noqa: E402
+from repro.experiments import ExperimentConfig  # noqa: E402
+from repro.experiments.runner import run_config_result  # noqa: E402
 
 BASELINE_PATH = Path(__file__).with_name("BENCH_baseline.json")
 DEFAULT_TOLERANCE = 0.15
@@ -114,24 +120,43 @@ def bench_cells() -> list[tuple[str, ExperimentConfig]]:
     return cells
 
 
+def decision_digest(result: BatchResult) -> str:
+    """Hash of every sub-batch mapping and task record of one run.
+
+    Floats enter by ``repr``, which round-trips exactly, so two runs agree
+    only when every decision and every simulated time is identical.
+    """
+    h = hashlib.sha256()
+    for sb in result.sub_batches:
+        h.update(repr(sorted(sb.plan.mapping.items())).encode())
+        for r in sb.execution.records:
+            h.update(
+                repr(
+                    (r.task_id, r.node, r.transfers_done, r.exec_start, r.completion)
+                ).encode()
+            )
+    return h.hexdigest()[:16]
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    results: dict[str, dict[str, float]] = {}
+    results: dict[str, dict[str, float | str]] = {}
     for cell_id, cfg in bench_cells():
         t0 = time.perf_counter()
-        record = run_config(cfg)
+        result = run_config_result(cfg)
         wall = time.perf_counter() - t0
         results[cell_id] = {
-            "makespan_s": record.makespan_s,
-            "scheduling_ms_per_task": record.scheduling_ms_per_task,
+            "makespan_s": result.makespan,
+            "digest": decision_digest(result),
+            "scheduling_ms_per_task": result.scheduling_ms_per_task,
             "wall_s": round(wall, 3),
         }
         print(
-            f"{cell_id:28s} makespan {record.makespan_s:9.2f}s   "
+            f"{cell_id:28s} makespan {result.makespan:9.2f}s   "
             f"wall {wall:6.2f}s"
         )
     doc = {
         "kind": "repro-bench",
-        "bench_version": 1,
+        "bench_version": 2,
         "repro_version": __version__,
         "python": _platform.python_version(),
         "cells": results,
@@ -189,6 +214,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"{cell_id}: makespan {old:.2f}s -> {new:.2f}s "
                 f"({rel:+.1%}, tolerance {tolerance:.0%})"
             )
+        if base.get("digest") != cand.get("digest"):
+            print(f"{'':28s} decision digest {base.get('digest')} -> "
+                  f"{cand.get('digest')}  <-- FAIL")
+            failures.append(
+                f"{cell_id}: decision digest {base.get('digest')} -> "
+                f"{cand.get('digest')}"
+            )
 
     if failures:
         print(f"\nFAIL: {len(failures)} regression(s)")
@@ -200,7 +232,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "--out benchmarks/BENCH_baseline.json"
         )
         return 1
-    print(f"\nOK: all cells within {tolerance:.0%} of baseline")
+    print(
+        f"\nOK: all cells within {tolerance:.0%} of baseline, "
+        "decision digests unchanged"
+    )
     return 0
 
 

@@ -35,7 +35,9 @@ __all__ = ["CACHE_SALT", "DEFAULT_CACHE_DIR", "CacheStats", "ResultCache", "conf
 # v2: ExperimentConfig grew the semantic ``faults`` field — v1 keys were
 # hashed without it, so a faulty run could have collided with its fault-free
 # twin's cached Record.
-CACHE_SALT = "repro-cache-v2"
+# v3: simulated durations are rounded up onto a 2**-30 s grid, so Records
+# cached before the grid hold slightly different times.
+CACHE_SALT = "repro-cache-v3"
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
