@@ -3,16 +3,18 @@
 The reproduction's correctness rests on properties no general-purpose linter
 checks: every simulation must be bit-for-bit deterministic (the PR-1 result
 cache replays cells by config hash, so hidden randomness or wall-clock reads
-silently poison it), and simulated times are floats compared against the
-Gantt charts' ``_EPS`` tolerance, never with ``==``.  These rules encode
-those contracts:
+silently poison it), and simulated times are floats compared by order or
+with a tolerance, never with ``==`` (the Gantt charts keep their times on
+an exact grid, see ``repro.cluster.gantt``; values derived from them need
+not be).  These rules encode those contracts:
 
 ========  =============================================================
 RPR001    unseeded randomness: ``random.Random()`` / ``default_rng()``
           without a seed, or any call through a process-global RNG
           (``random.random``, ``numpy.random.rand``, ...).
 RPR002    ``==`` / ``!=`` on simulated-time floats (``start``, ``ect``,
-          ``makespan``, ...) where an ``_EPS`` tolerance is required.
+          ``makespan``, ...) where an order comparison or a tolerance
+          is required.
 RPR003    wall-clock nondeterminism (``time.time``, ``datetime.now``)
           inside scheduler/simulator modules (``core``/``cluster``;
           ``perf_counter`` stays legal — it measures scheduling
@@ -53,7 +55,7 @@ _iter_py_files = iter_py_files
 
 _RULES: tuple[Rule, ...] = (
     Rule("RPR001", "unseeded or process-global random number generation"),
-    Rule("RPR002", "== / != on simulated-time floats (use an _EPS tolerance)"),
+    Rule("RPR002", "== / != on simulated-time floats (compare by order or tolerance)"),
     Rule("RPR003", "wall-clock read inside a scheduler/simulator module"),
     Rule("RPR004", "mutable default argument"),
     Rule("RPR005", "bare except clause"),
@@ -334,8 +336,8 @@ class _Visitor(ast.NodeVisitor):
                     node,
                     "RPR002",
                     f"direct {sym} on simulated-time value "
-                    f"{self._terminal_name(hit)!r}; compare with an _EPS "
-                    "tolerance (see repro.cluster.gantt)",
+                    f"{self._terminal_name(hit)!r}; compare by order or with a "
+                    "tolerance (see repro.cluster.gantt on exact grid time)",
                 )
         self.generic_visit(node)
 

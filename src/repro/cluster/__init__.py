@@ -19,7 +19,7 @@ from .platform import (
     osc_osumed,
     osc_xio,
 )
-from .runtime import PlannedSource, Runtime, StagingPlan
+from .runtime import PlannedSource, Runtime, RuntimeStats, StagingPlan
 from .state import ClusterState, TransferStats
 from .stats import ExecutionResult, TaskRecord
 from .trace import TraceEvent, render_ascii, to_chrome_trace, trace_events
@@ -41,6 +41,7 @@ __all__ = [
     "ClusterState",
     "TransferStats",
     "Runtime",
+    "RuntimeStats",
     "StagingPlan",
     "PlannedSource",
     "ExecutionResult",

@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from ..batch import Batch
 from ..cluster.events import AuditTrail
 from ..cluster.platform import Platform
-from ..cluster.runtime import Runtime
+from ..cluster.runtime import Runtime, RuntimeStats
 from ..cluster.state import ClusterState
 from ..faults import FaultModel, FaultSpec, resolve_spec
 from ..obs.core import telemetry as tele
@@ -283,6 +283,8 @@ def _run_batch_inner(
         audit=audit,
         faults=fault_model,
     )
+    if telemetry:
+        runtime.stats = RuntimeStats()
     probe: TimeSeriesProbe | None = None
     if probe_config is not None:
         probe = TimeSeriesProbe(
@@ -373,6 +375,10 @@ def _run_batch_inner(
                 tele.gauge(f"faults/{key}", float(value))
     if telemetry:
         from ..obs.metrics import compute_metrics
+
+        assert runtime.stats is not None
+        for key, count in runtime.stats.to_dict().items():
+            tele.count(f"runtime/{key}", count)
 
         records = [r for sb in result.sub_batches for r in sb.execution.records]
         decisions = scheduler.decision_log

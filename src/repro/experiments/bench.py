@@ -8,7 +8,7 @@ module allowed to import it). The only observable difference allowed is
 wall-clock time. This module measures that difference on fixed cells and **refuses to
 report a speedup that isn't decision-checked**: every cell runs both
 flavours and asserts identical mappings (and, end-to-end, identical
-makespans) before timing is accepted.
+makespans and task records) before timing is accepted.
 
 Two cell kinds:
 
@@ -18,7 +18,8 @@ Two cell kinds:
   largest Fig. 6b point.
 * *end-to-end* cells time a whole ``run_batch`` (mapping + the Section 6
   runtime), so the runtime-side caches (source memoisation, the
-  missing-bytes candidate index, cached eviction order) are exercised too.
+  missing-bytes candidate index, cached eviction order, tentatives kept
+  across commits) are exercised too.
 
 Timing uses min-of-``repeats``: the minimum is the standard robust
 estimator for "how fast can this code run" under scheduler noise (both
@@ -175,8 +176,9 @@ def bench_end_to_end_cell(
 ) -> BenchCellResult:
     """Time a whole ``run_batch``, reference vs optimized.
 
-    Asserts identical makespans and per-sub-batch mappings across the two
-    flavours (the driver + runtime surface of the decision-identity claim).
+    Asserts identical makespans, per-sub-batch mappings and task records
+    across the two flavours (the driver + runtime surface of the
+    decision-identity claim).
     """
     batch, platform = _fig6b_inputs(num_tasks, num_compute, seed)
     timings: dict[bool, float] = {}
@@ -194,6 +196,7 @@ def bench_end_to_end_cell(
         shapes[reference] = (
             result.makespan,
             [sb.plan.mapping for sb in result.sub_batches],
+            [sb.execution.records for sb in result.sub_batches],
         )
     assert shapes[True] == shapes[False], (
         f"{scheme} n={num_tasks} c={num_compute}: optimized run_batch "
