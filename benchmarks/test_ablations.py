@@ -77,7 +77,7 @@ def test_ablation_subbatch_selection(benchmark, show):
     class GreedySubbatch(BiPartitionScheduler):
         """First level replaced by footprint-greedy packing."""
 
-        def _select_subbatches(self, batch, pending, platform):
+        def _select_subbatches(self, batch, pending, platform, state):
             budget = platform.aggregate_disk_space
             out, cur, used, used_mb = [], [], set(), 0.0
             for t in pending:  # submission order, no affinity awareness

@@ -1,4 +1,4 @@
-"""Repo-specific AST lint rules (``python -m repro.analysis.lint``).
+"""Repo-specific AST lint rules (RPR001–RPR005 of ``repro lint``).
 
 The reproduction's correctness rests on properties no general-purpose linter
 checks: every simulation must be bit-for-bit deterministic (the PR-1 result
@@ -26,28 +26,24 @@ RPR005    bare ``except:``.
 
 Suppress a finding with a trailing ``# repro: noqa[RPR001]`` comment
 (several codes comma-separated; ``# repro: noqa`` alone silences the line).
-Exit status is 1 when findings remain, 0 on a clean tree.
+``repro lint`` exits 1 when findings remain, 0 on a clean tree.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from collections.abc import Sequence
 from pathlib import Path
 
 from .common import (
-    FORMATS,
     Finding,
     Rule,
     filter_findings,
     iter_py_files,
     noqa_codes,
-    render_findings,
 )
 
-__all__ = ["Finding", "Rule", "iter_rules", "lint_source", "lint_paths", "main"]
+__all__ = ["Finding", "Rule", "iter_rules", "lint_source", "lint_paths"]
 
 # Back-compat aliases; the canonical home is repro.analysis.common.
 _noqa_codes = noqa_codes
@@ -419,40 +415,3 @@ def lint_paths(
     for file in _iter_py_files(paths):
         findings.extend(lint_source(file.read_text(), file, select))
     return findings
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the exit status."""
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="repo-specific determinism/correctness lint (RPR rules)",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--select", nargs="+", metavar="RPRnnn", default=None,
-        help="only run the given rule codes",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rules and exit"
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="text",
-        help="output format (github emits ::error workflow annotations)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in iter_rules():
-            print(f"{rule.code}  {rule.summary}")
-        return 0
-
-    findings = lint_paths(args.paths, args.select)
-    print(render_findings(findings, args.format))
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

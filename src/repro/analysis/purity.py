@@ -1,4 +1,4 @@
-"""Parallel-worker purity lint (``python -m repro.analysis.purity``).
+"""Parallel-worker purity lint (RPR009 of ``repro lint``).
 
 The PR-1 result cache replays experiment cells by config hash: a worker
 function submitted to the :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -18,38 +18,35 @@ RPR009    impurity in a process-pool worker or anything it transitively
 
 Workers are discovered automatically: any function passed to ``.map()`` /
 ``.submit()`` on a ``ProcessPoolExecutor`` found in the checked tree, plus
-anything named via ``--entry module.path:function``.  The walk follows
-plain-function calls resolved through imports; method dispatch and class
-instantiation are not traversed (the runtime's own state is per-cell by
-construction).
+any ``module.path:function`` passed as ``entries`` to :func:`check_paths`.
+The walk follows plain-function calls resolved through imports; method
+dispatch and class instantiation are not traversed (the runtime's own
+state is per-cell by construction).
 
 Two escapes are deliberate:
 
 * ``telemetry`` (``repro.obs.core``) may be reset/enabled inside a worker —
   the telemetry flag is excluded from the cache key by design, so its
   process-local state is not cache-semantic.
-* ``REPRO_TELEMETRY`` may be read for the same reason; extend with
-  ``--allow-env NAME`` if another variable joins the cache key's exclusion
-  list, or suppress single findings with ``# repro: noqa[RPR009]``.
+* ``REPRO_TELEMETRY`` may be read for the same reason; extend
+  ``check_paths(..., allow_env=...)`` if another variable joins the cache
+  key's exclusion list, or suppress single findings with
+  ``# repro: noqa[RPR009]``.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .common import (
-    FORMATS,
     Finding,
     Rule,
     filter_findings,
     iter_py_files,
-    render_findings,
 )
 
 __all__ = [
@@ -58,7 +55,6 @@ __all__ = [
     "iter_rules",
     "check_source",
     "check_paths",
-    "main",
 ]
 
 _RULES: tuple[Rule, ...] = (
@@ -614,50 +610,3 @@ def check_source(
         ]
     mod = _index_module(p, source, tree)
     return _run_check({mod.name: mod}, [], select, entries, allow_env)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the exit status."""
-    parser = argparse.ArgumentParser(
-        prog="repro purity",
-        description="process-pool worker purity lint (RPR009)",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to check (default: src/repro)",
-    )
-    parser.add_argument(
-        "--select", nargs="+", metavar="RPRnnn", default=None,
-        help="only report the given rule codes",
-    )
-    parser.add_argument(
-        "--entry", action="append", metavar="MODULE:FUNC", default=None,
-        help="treat MODULE:FUNC as an additional worker entry point",
-    )
-    parser.add_argument(
-        "--allow-env", action="append", metavar="NAME", default=None,
-        help="extra env var a worker may read (default allows REPRO_TELEMETRY)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rules and exit"
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="text",
-        help="output format (github emits ::error workflow annotations)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in iter_rules():
-            print(f"{rule.code}  {rule.summary}")
-        return 0
-
-    findings = check_paths(
-        args.paths, args.select, entries=args.entry, allow_env=args.allow_env
-    )
-    print(render_findings(findings, args.format))
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

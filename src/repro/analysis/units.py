@@ -1,4 +1,4 @@
-"""Flow-sensitive dimensional analysis (``python -m repro.analysis.units``).
+"""Flow-sensitive dimensional analysis (RPR006–RPR008 of ``repro lint``).
 
 The paper's cost model (Eqs. 9-13, 25) mixes file sizes (MB), bandwidths
 (MB/s), simulated times (s) and counts, all spelled ``float`` in Python.  A
@@ -34,26 +34,22 @@ Abstract values:
   unwrap it, arithmetic on it is opaque (list concat is not addition).
 
 Suppress with ``# repro: noqa[RPR006]`` on the first or last line of the
-offending expression.  Exit status 1 when findings remain.
+offending expression.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TypeGuard, Union, cast
 
 from .common import (
-    FORMATS,
     Finding,
     Rule,
     filter_findings,
     iter_py_files,
-    render_findings,
 )
 from .dims import DIMS_BY_NAME, convention_dim
 
@@ -63,7 +59,6 @@ __all__ = [
     "iter_rules",
     "check_source",
     "check_paths",
-    "main",
 ]
 
 _RULES: tuple[Rule, ...] = (
@@ -879,40 +874,3 @@ def check_paths(
             filter_findings(checker.findings, text.splitlines(), select)
         )
     return findings
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the exit status."""
-    parser = argparse.ArgumentParser(
-        prog="repro units",
-        description="flow-sensitive dimensional analysis (RPR006-RPR008)",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to check (default: src/repro)",
-    )
-    parser.add_argument(
-        "--select", nargs="+", metavar="RPRnnn", default=None,
-        help="only report the given rule codes",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rules and exit"
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="text",
-        help="output format (github emits ::error workflow annotations)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in iter_rules():
-            print(f"{rule.code}  {rule.summary}")
-        return 0
-
-    findings = check_paths(args.paths, args.select)
-    print(render_findings(findings, args.format))
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

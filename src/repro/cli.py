@@ -24,23 +24,17 @@ Commands
 ``lint``
     Run every repo-specific static check (RPR001–RPR009: the AST lint
     rules, the dimensional-analysis checker and the parallel-purity lint)
-    over source paths.
-``units``
-    Run only the dimensional-analysis checker (RPR006–RPR008, see
-    :mod:`repro.analysis.units`): proves MB / MB/s / seconds never mix.
-``purity``
-    Run only the parallel-purity lint (RPR009, see
-    :mod:`repro.analysis.purity`) over the process-pool worker functions.
+    over source paths; ``--select`` runs some codes alone.
 ``audit``
     Execute a batch with the audit trail enabled and verify the resulting
     Gantt trace against the execution invariants E1–E7
     (:mod:`repro.analysis.audit`, ``docs/invariants.md``).
 ``bench``
-    Time the incremental scheduling kernels against their retained
-    reference implementations on fixed Fig. 6b-shaped cells, asserting
-    decision identity before reporting any speedup
-    (``docs/performance.md``). The CI perf-smoke job runs this with
-    ``--min-speedup`` as a regression gate.
+    Run the fixed bench grid (reduced figure cells, fault cells, Fig. 6b
+    mapping cells), each under the product code and its oracle, asserting
+    identical decisions before any timing counts; write one
+    ``repro-bench`` document and gate it against a baseline
+    (``docs/performance.md``). The CI bench job runs this.
 ``diff``
     Attribute the makespan delta between two run manifests to phase
     (schedule/stage/execute), node and metric with ranked tables
@@ -74,9 +68,9 @@ Examples
     python -m repro figure fig5b --workers 4 --json fig5b.json
     python -m repro metrics fig5b --tasks 24 --out manifest.json
     python -m repro profile fig5b --tasks 24 --trace profile.trace.json
-    python -m repro lint src/repro
-    python -m repro units src/repro --format github
-    python -m repro purity src/repro --entry repro.parallel.pool:_run_cell
+    python -m repro lint src/repro --format github
+    python -m repro lint src/repro --select RPR006 RPR007 RPR008
+    python -m repro bench --baseline benchmarks/BENCH_baseline.json
     python -m repro audit --workload sat --tasks 30 --schemes minmin jdp
     python -m repro chaos --tasks 30 --rates 0 0.2 0.4 --json degradation.json
     python -m repro stream examples/streams/poisson-osumed.json --html stream.html
@@ -90,8 +84,7 @@ import sys
 
 from . import available_schedulers, osc_osumed, osc_xio, run_batch
 from .batch import Batch, overlap_fraction, pairwise_overlap
-from .cluster import ClusterState, Runtime, render_ascii, to_chrome_trace
-from .core import make_scheduler
+from .cluster import Runtime, render_ascii, to_chrome_trace
 from .experiments import (
     ExperimentConfig,
     fig3_image_overlap,
@@ -101,6 +94,7 @@ from .experiments import (
     fig6a_compute_scaling,
     fig6b_scheduling_overhead,
 )
+from .obs.diff import DEFAULT_FAIL_OVER
 from .parallel import DEFAULT_CACHE_DIR, ResultCache, map_configs
 from .workloads import available_workloads, make_batch
 
@@ -300,44 +294,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pp.add_argument("--top", type=int, default=10, help="span paths to print")
 
-    def _add_check_args(p: argparse.ArgumentParser):
-        p.add_argument(
-            "paths", nargs="*", default=["src/repro"],
-            help="files or directories to check (default: src/repro)",
-        )
-        p.add_argument(
-            "--select", nargs="+", metavar="RPRnnn", default=None,
-            help="only run the given rule codes",
-        )
-        p.add_argument(
-            "--list-rules", action="store_true", help="print the rules and exit"
-        )
-        p.add_argument(
-            "--format", choices=("text", "json", "github"), default="text",
-            help="output format (github = ::error workflow commands)",
-        )
-
     pl = sub.add_parser(
         "lint", help="run every repo-specific static check (RPR001-RPR009)"
     )
-    _add_check_args(pl)
-
-    pu = sub.add_parser(
-        "units", help="dimensional-analysis checker (RPR006-RPR008)"
+    pl.add_argument(
+        "paths", nargs="*", default=["src/repro"],
+        help="files or directories to check (default: src/repro)",
     )
-    _add_check_args(pu)
-
-    pp2 = sub.add_parser(
-        "purity", help="parallel-purity lint over pool workers (RPR009)"
+    pl.add_argument(
+        "--select", nargs="+", metavar="RPRnnn", default=None,
+        help="only run the given rule codes",
     )
-    _add_check_args(pp2)
-    pp2.add_argument(
-        "--entry", action="append", metavar="module:function", default=None,
-        help="check this worker entry point instead of auto-discovery",
+    pl.add_argument(
+        "--list-rules", action="store_true", help="print the rules and exit"
     )
-    pp2.add_argument(
-        "--allow-env", action="append", metavar="NAME", default=None,
-        help="environment variable workers may read without a finding",
+    pl.add_argument(
+        "--format", choices=("text", "json", "github"), default="text",
+        help="output format (github = ::error workflow commands)",
     )
 
     pa = sub.add_parser(
@@ -357,13 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser(
         "bench",
-        help="time the incremental kernels against their reference oracles "
+        help="time every bench cell against its oracle and apply the gates "
         "(decision-checked; see docs/performance.md)",
     )
     pb.add_argument(
         "--full",
         action="store_true",
-        help="add the Fig. 6b headline cells (n=1000, c=32; several minutes)",
+        help="add the Fig. 6b headline's MaxMin/Sufferage siblings and a "
+        "MinMin n=400 mapping cell",
     )
     pb.add_argument(
         "--repeats", type=int, default=5,
@@ -371,25 +345,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pb.add_argument(
         "--out", metavar="FILE",
-        help="write the results as a BENCH_<sha>.json-style document",
+        help="write the repro-bench document (e.g. BENCH_<sha>.json)",
+    )
+    pb.add_argument(
+        "--baseline", metavar="FILE",
+        help="gate against this repro-bench document: identical digests, "
+        f"makespan drift at most {DEFAULT_FAIL_OVER} of the baseline's, no "
+        "baseline cell missing",
     )
     pb.add_argument(
         "--min-speedup", type=float, default=None,
-        help="exit non-zero unless every mapping cell beats this factor "
-        "(the CI perf-smoke gate)",
+        help="exit non-zero unless every mapping cell beats this factor",
     )
     pb.add_argument(
         "--trajectory",
         metavar="FILE",
         default=None,
-        help="append one compact record per cell (sha, cell, speedup, "
-        "decision-checked) to this JSONL trajectory "
-        "(default: benchmarks/BENCH_trajectory.jsonl when it is writable)",
-    )
-    pb.add_argument(
-        "--no-trajectory",
-        action="store_true",
-        help="do not append to the bench trajectory",
+        help="append one repro-bench-point line per cell (sha, cell and its "
+        "record) to this JSONL trajectory",
     )
 
     pd = sub.add_parser(
@@ -406,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidate run manifest (same forms as A)",
     )
     pd.add_argument(
-        "--fail-over", type=float, default=0.15,
+        "--fail-over", type=float, default=DEFAULT_FAIL_OVER,
         help="exit non-zero when |makespan delta| exceeds this fraction of "
-        "A's makespan (default 0.15, the bench-regression tolerance)",
+        f"A's makespan (default {DEFAULT_FAIL_OVER}, the bench gate's bound)",
     )
     pd.add_argument("--top", type=int, default=8, help="rows per ranked table")
     pd.add_argument("--json", metavar="FILE", help="also write the diff as JSON")
@@ -664,76 +637,37 @@ def _cmd_run(args) -> int:
         kwargs = {}
         if scheme == "ip":
             kwargs = {"time_limit": args.ip_time_limit, "mip_rel_gap": 0.05}
-        # Re-create runtime internals manually when a trace is requested so
-        # the timelines stay accessible. Fault injection needs the driver's
-        # rescheduling loop, so faulty runs go through run_batch instead
-        # (whose result keeps the runtime for --gantt/--trace).
-        if (args.gantt or args.trace) and faults is None:
-            scheduler = make_scheduler(scheme, **kwargs)
-            scheduler.reset()
-            state = ClusterState.initial(platform, batch)
-            runtime = Runtime(
-                platform,
-                state,
-                allow_replication=not args.no_replication,
-                candidate_limit=args.candidate_limit,
-                overlap_io_compute=args.overlap_io,
+        # Telemetry is the one way run_batch hands its runtime back; it
+        # observes only, so the result row is the same without it.
+        result = run_batch(
+            batch,
+            platform,
+            scheme,
+            allow_replication=not args.no_replication,
+            candidate_limit=args.candidate_limit,
+            scheduler_kwargs=kwargs,
+            overlap_io_compute=args.overlap_io,
+            faults=faults,
+            telemetry=bool(args.gantt or args.trace),
+        )
+        if args.gantt or args.trace:
+            last_runtime = result.runtime
+        fs = result.fault_stats
+        if fs is not None:
+            fault_lines.append(
+                f"{scheme:14s} {fs.node_crashes} crash(es), "
+                f"{fs.transfer_failures} failed transfer(s) / "
+                f"{fs.retries} retried / {fs.failovers} re-sourced, "
+                f"{fs.tasks_rescheduled} task(s) rescheduled, "
+                f"{fs.files_lost} file(s) lost ({fs.lost_mb:.0f} MB)"
             )
-            policy = scheduler.eviction_policy(batch)
-            pending = [t.task_id for t in batch.tasks]
-            import time as _time
-
-            sched_s = 0.0
-            sub = 0
-            while pending:
-                t0 = _time.perf_counter()
-                plan = scheduler.next_subbatch(batch, pending, platform, state)
-                sched_s += _time.perf_counter() - t0
-                tasks = [batch.task(t) for t in plan.task_ids]
-                runtime.execute(
-                    tasks,
-                    plan.mapping,
-                    plan.staging,
-                    victim_order=lambda n, c, _p=policy, _s=state: _p.order(_s, n, c),
-                )
-                done = set(plan.task_ids)
-                pending = [t for t in pending if t not in done]
-                sub += 1
-            makespan = runtime.clock
-            stats = state.stats
-            per_task = 1000.0 * sched_s / len(batch)
-            last_runtime = runtime
-        else:
-            result = run_batch(
-                batch,
-                platform,
-                scheme,
-                allow_replication=not args.no_replication,
-                candidate_limit=args.candidate_limit,
-                scheduler_kwargs=kwargs,
-                overlap_io_compute=args.overlap_io,
-                faults=faults,
-            )
-            makespan = result.makespan
-            stats = result.stats
-            per_task = result.scheduling_ms_per_task
-            sub = result.num_sub_batches
-            if args.gantt or args.trace:
-                last_runtime = result.runtime
-            fs = result.fault_stats
-            if fs is not None:
-                fault_lines.append(
-                    f"{scheme:14s} {fs.node_crashes} crash(es), "
-                    f"{fs.transfer_failures} failed transfer(s) / "
-                    f"{fs.retries} retried / {fs.failovers} re-sourced, "
-                    f"{fs.tasks_rescheduled} task(s) rescheduled, "
-                    f"{fs.files_lost} file(s) lost ({fs.lost_mb:.0f} MB)"
-                )
+        stats = result.stats
         print(
-            f"{scheme:14s} {makespan:9.1f}s {per_task:14.2f} "
+            f"{scheme:14s} {result.makespan:9.1f}s "
+            f"{result.scheduling_ms_per_task:14.2f} "
             f"{stats.remote_volume_mb:10.0f} "
             f"{stats.replication_volume_mb:11.0f} "
-            f"{stats.evictions:6d} {sub:4d}"
+            f"{stats.evictions:6d} {result.num_sub_batches:4d}"
         )
 
     if fault_lines:
@@ -747,6 +681,30 @@ def _cmd_run(args) -> int:
             fh.write(to_chrome_trace(last_runtime))
         print(f"\nChrome trace written to {args.trace}")
     return 0
+
+
+def _write_table(table, args) -> None:
+    """Write a figure/chaos table to ``--csv`` and ``--json`` when given."""
+    if args.csv:
+        columns = (
+            "experiment", "workload", "scheme", "x", "makespan_s",
+            "scheduling_ms_per_task", "remote_transfers", "remote_volume_mb",
+            "replications", "replication_volume_mb", "evictions", "sub_batches",
+        )
+        with open(args.csv, "w") as fh:
+            fh.write(table.to_csv(columns) + "\n")
+        print(f"CSV written to {args.csv}")
+    if args.json:
+        import json as _json
+        from dataclasses import asdict
+
+        with open(args.json, "w") as fh:
+            _json.dump(
+                {"title": table.title, "records": [asdict(r) for r in table.records]},
+                fh,
+                indent=2,
+            )
+        print(f"JSON written to {args.json}")
 
 
 def _cmd_figure(args) -> int:
@@ -787,26 +745,7 @@ def _cmd_figure(args) -> int:
     print(table.render())
     if not args.no_cache:
         print(f"\ncache: {cache.stats.summary()} in {cache.root}")
-    if args.csv:
-        columns = (
-            "experiment", "workload", "scheme", "x", "makespan_s",
-            "scheduling_ms_per_task", "remote_transfers", "remote_volume_mb",
-            "replications", "replication_volume_mb", "evictions", "sub_batches",
-        )
-        with open(args.csv, "w") as fh:
-            fh.write(table.to_csv(columns) + "\n")
-        print(f"\nCSV written to {args.csv}")
-    if args.json:
-        import json as _json
-        from dataclasses import asdict
-
-        with open(args.json, "w") as fh:
-            _json.dump(
-                {"title": table.title, "records": [asdict(r) for r in table.records]},
-                fh,
-                indent=2,
-            )
-        print(f"JSON written to {args.json}")
+    _write_table(table, args)
     return 0
 
 
@@ -1022,34 +961,6 @@ def _cmd_lint(args) -> int:
     return 1 if findings else 0
 
 
-def _cmd_units(args) -> int:
-    from .analysis import units
-    from .analysis.common import render_findings
-
-    if args.list_rules:
-        for rule in units.iter_rules():
-            print(f"{rule.code}  {rule.summary}")
-        return 0
-    findings = units.check_paths(args.paths, args.select)
-    print(render_findings(findings, args.format))
-    return 1 if findings else 0
-
-
-def _cmd_purity(args) -> int:
-    from .analysis import purity
-    from .analysis.common import render_findings
-
-    if args.list_rules:
-        for rule in purity.iter_rules():
-            print(f"{rule.code}  {rule.summary}")
-        return 0
-    findings = purity.check_paths(
-        args.paths, args.select, entries=args.entry, allow_env=args.allow_env
-    )
-    print(render_findings(findings, args.format))
-    return 1 if findings else 0
-
-
 def _cmd_audit(args) -> int:
     from .analysis.audit import AuditError
 
@@ -1094,57 +1005,78 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .experiments import default_bench_cells, run_bench_cells, write_bench
+    import json as _json
 
-    cells = default_bench_cells(full=args.full)
+    from .experiments import bench
+
+    baseline = None
+    if args.baseline:
+        with open(args.baseline) as fh:
+            doc = _json.load(fh)
+        if doc.get("kind") != "repro-bench":
+            raise SystemExit(f"{args.baseline}: not a repro-bench document")
+        baseline = doc["cells"]
     print(
-        f"{'cell':32s} {'reference':>11s} {'optimized':>11s} {'speedup':>8s}"
+        f"{'cell':30s} {'reference':>11s} {'optimized':>11s} {'speedup':>8s} "
+        f"{'makespan':>10s} {'vs base':>8s}  oracle"
     )
-    results = []
-    for cell in cells:
-        res = run_bench_cells([cell], repeats=args.repeats)[0]
-        results.append(res)
-        print(
-            f"{res.cell:32s} {res.reference_s * 1e3:9.2f}ms "
-            f"{res.optimized_s * 1e3:9.2f}ms {res.speedup:7.2f}x"
-        )
-        if res.kernel_stats:
-            saved = res.kernel_stats.get("evaluations_saved", 0)
-            logical = res.kernel_stats.get("logical_evaluations", 0)
-            if logical:
-                print(
-                    f"{'':32s}   kernel pair evaluations saved: "
-                    f"{saved / logical:.1%} ({saved:,} of {logical:,})"
-                )
-    print("\nevery cell decision-checked: optimized == reference")
-    if args.out:
-        path = write_bench(results, args.out)
-        print(f"results written to {path}")
-    if not args.no_trajectory:
-        from pathlib import Path as _Path
-
-        from .experiments.bench import append_trajectory
-
-        traj = args.trajectory
-        if traj is None:
-            default = _Path("benchmarks") / "BENCH_trajectory.jsonl"
-            traj = default if default.parent.is_dir() else None
-        if traj is not None:
-            tpath = append_trajectory(results, traj)
-            print(f"trajectory appended to {tpath} ({len(results)} record(s))")
-    if args.min_speedup is not None:
-        slow = [
-            r for r in results
-            if r.kind == "mapping" and r.speedup < args.min_speedup
-        ]
-        if slow:
-            for r in slow:
-                print(
-                    f"FAIL: {r.cell} speedup {r.speedup:.2f}x < "
-                    f"{args.min_speedup:.2f}x"
-                )
+    cells: dict[str, dict] = {}
+    for cell in bench.bench_cells(full=args.full):
+        try:
+            rec = bench.run_cell(cell, repeats=args.repeats)
+        except bench.DecisionMismatch as exc:
+            print(f"FAIL: {exc}")
             return 1
-        print(f"all mapping cells beat {args.min_speedup:.2f}x")
+        cells[cell.cell] = rec
+        makespan, drift = "-", "-"
+        if "makespan_s" in rec:
+            makespan = f"{rec['makespan_s']:.2f}s"
+            base = (baseline or {}).get(cell.cell, {}).get("makespan_s")
+            if base:
+                drift = f"{(rec['makespan_s'] - base) / base:+.2%}"
+        print(
+            f"{cell.cell:30s} {rec['reference_s'] * 1e3:9.2f}ms "
+            f"{rec['optimized_s'] * 1e3:9.2f}ms {rec['speedup']:7.2f}x "
+            f"{makespan:>10s} {drift:>8s}  same ({rec['digest']})"
+        )
+        stats = rec.get("kernel_stats") or {}
+        if stats.get("logical_evaluations"):
+            saved, logical = stats["evaluations_saved"], stats["logical_evaluations"]
+            print(
+                f"{'':30s}   kernel pair evaluations saved: "
+                f"{saved / logical:.1%} ({saved:,} of {logical:,})"
+            )
+    print(f"\nevery cell checked against the oracle: {len(cells)} identical digest(s)")
+    if args.out:
+        with open(args.out, "w") as fh:
+            _json.dump(bench.bench_document(cells, args.repeats), fh, indent=2,
+                       sort_keys=True)
+            fh.write("\n")
+        print(f"results written to {args.out}")
+    if args.trajectory:
+        path = bench.append_trajectory(cells, args.trajectory)
+        print(f"trajectory appended to {path} ({len(cells)} point(s))")
+    failures, notes = bench.check_gates(cells, baseline, args.min_speedup)
+    for note in notes:
+        print(f"note: {note}")
+    if failures:
+        print(f"\nFAIL: {len(failures)} gate failure(s)")
+        for failure in failures:
+            print(f"  {failure}")
+        if baseline is not None:
+            print(
+                "\nIf the change is intentional, refresh the baseline:\n"
+                "  PYTHONPATH=src python -m repro bench "
+                "--out benchmarks/BENCH_baseline.json"
+            )
+        return 1
+    if baseline is not None:
+        print(
+            f"OK: digests unchanged and makespans within "
+            f"{DEFAULT_FAIL_OVER:.0%} of {args.baseline}"
+        )
+    if args.min_speedup is not None:
+        print(f"OK: every mapping cell beats {args.min_speedup:.2f}x")
     return 0
 
 
@@ -1228,26 +1160,7 @@ def _cmd_chaos(args) -> int:
         print("\nevery cell passed the E1-E7 trace audit")
     if args.cache:
         print(f"cache: {cache.stats.summary()} in {cache.root}")
-    if args.csv:
-        columns = (
-            "experiment", "workload", "scheme", "x", "makespan_s",
-            "scheduling_ms_per_task", "remote_transfers", "remote_volume_mb",
-            "replications", "replication_volume_mb", "evictions", "sub_batches",
-        )
-        with open(args.csv, "w") as fh:
-            fh.write(table.to_csv(columns) + "\n")
-        print(f"CSV written to {args.csv}")
-    if args.json:
-        import json as _json
-        from dataclasses import asdict
-
-        with open(args.json, "w") as fh:
-            _json.dump(
-                {"title": table.title, "records": [asdict(r) for r in table.records]},
-                fh,
-                indent=2,
-            )
-        print(f"JSON written to {args.json}")
+    _write_table(table, args)
     return 0
 
 
@@ -1347,8 +1260,6 @@ def main(argv: list[str] | None = None) -> int:
         "metrics": _cmd_metrics,
         "profile": _cmd_profile,
         "lint": _cmd_lint,
-        "units": _cmd_units,
-        "purity": _cmd_purity,
         "audit": _cmd_audit,
         "bench": _cmd_bench,
         "diff": _cmd_diff,

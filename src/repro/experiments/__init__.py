@@ -1,12 +1,12 @@
 """Experiment harness reproducing every figure of the paper's evaluation."""
 
 from .bench import (
-    BenchCellResult,
-    bench_end_to_end_cell,
-    bench_mapping_cell,
-    default_bench_cells,
-    run_bench_cells,
-    write_bench,
+    BenchCell,
+    DecisionMismatch,
+    bench_cells,
+    bench_document,
+    check_gates,
+    run_cell,
 )
 from .faults import CHAOS_SCHEMES, chaos_sweep, degradation_curve
 from .figures import (
@@ -53,12 +53,12 @@ __all__ = [
     "CHAOS_SCHEMES",
     "chaos_sweep",
     "degradation_curve",
-    "BenchCellResult",
-    "bench_mapping_cell",
-    "bench_end_to_end_cell",
-    "default_bench_cells",
-    "run_bench_cells",
-    "write_bench",
+    "BenchCell",
+    "DecisionMismatch",
+    "bench_cells",
+    "bench_document",
+    "check_gates",
+    "run_cell",
     "StreamConfig",
     "StreamRecord",
     "run_stream_config",

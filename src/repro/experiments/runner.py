@@ -80,6 +80,20 @@ class ExperimentConfig:
             seed=self.seed,
         )
 
+    def run_kwargs(self) -> dict:
+        """The keyword arguments of this cell's ``run_batch`` call."""
+        kwargs = dict(default_scheduler_kwargs(self.scheme))
+        kwargs.update(self.scheduler_kwargs)
+        return dict(
+            allow_replication=self.allow_replication,
+            candidate_limit=self.candidate_limit,
+            scheduler_kwargs=kwargs,
+            audit=self.audit,
+            telemetry=self.telemetry,
+            timeseries=self.timeseries,
+            faults=self.faults,
+        )
+
 
 def default_scheduler_kwargs(scheme: str, time_limit: float = 30.0) -> dict:
     """Sensible per-scheme options for experiment runs."""
@@ -95,22 +109,7 @@ def run_config_result(cfg: ExperimentConfig) -> BatchResult:
     notably the ``repro metrics``/``repro profile`` commands, which read the
     telemetry attachments ``run_batch(telemetry=True)`` leaves on the result.
     """
-    platform = cfg.platform()
-    batch = cfg.batch()
-    kwargs = dict(default_scheduler_kwargs(cfg.scheme))
-    kwargs.update(cfg.scheduler_kwargs)
-    return run_batch(
-        batch,
-        platform,
-        cfg.scheme,
-        allow_replication=cfg.allow_replication,
-        candidate_limit=cfg.candidate_limit,
-        scheduler_kwargs=kwargs,
-        audit=cfg.audit,
-        telemetry=cfg.telemetry,
-        timeseries=cfg.timeseries,
-        faults=cfg.faults,
-    )
+    return run_batch(cfg.batch(), cfg.platform(), cfg.scheme, **cfg.run_kwargs())
 
 
 def run_config_cell(

@@ -1,7 +1,7 @@
 """Cross-run regression attribution over run manifests.
 
-``repro diff A.json B.json`` answers the question the bench-regression gate
-leaves open: not just *that* the makespan drifted, but *where*. Two run
+``repro diff A.json B.json`` answers the question the bench gate leaves
+open: not just *that* the makespan drifted, but *where*. Two run
 manifests (:mod:`repro.obs.export`) are aligned and the makespan delta is
 attributed along three axes:
 
@@ -14,9 +14,9 @@ attributed along three axes:
 * **metric** — every scalar in ``stats``/``metrics`` plus the final value
   of every time series, ranked by relative change.
 
-The result carries a CI gate: :meth:`ManifestDiff.exceeds` mirrors the
-bench-regression tolerance (default 15% of run A's makespan) and drives the
-CLI's non-zero exit code.
+The result carries a CI gate: :meth:`ManifestDiff.exceeds` applies the
+bench gate's makespan bound (:data:`DEFAULT_FAIL_OVER`, 15% of run A's
+makespan) and drives the CLI's non-zero exit code.
 
 Besides full manifests, :func:`load_run` accepts ``path#cell`` pointing
 into a ``repro-bench`` document (``benchmarks/BENCH_baseline.json``); the
@@ -43,8 +43,8 @@ __all__ = [
     "load_run",
 ]
 
-#: Default gate: fail when |Δmakespan| exceeds this fraction of run A's
-#: makespan — the same tolerance as the bench-regression gate.
+#: Fail when |Δmakespan| exceeds this fraction of the base makespan: the
+#: default of ``repro diff --fail-over`` and the bound of ``repro bench``.
 DEFAULT_FAIL_OVER = 0.15
 
 _EPS = 1e-12
@@ -158,8 +158,8 @@ def load_run(spec: str | Path) -> dict[str, Any]:
     """Load a run manifest, or lift a bench cell into a minimal one.
 
     ``spec`` is either a manifest path or ``path#cell`` where the file is a
-    ``repro-bench`` document (``benchmarks/bench_regression.py`` output);
-    the named cell becomes a manifest with the scalar result only.
+    ``repro-bench`` document (``repro bench --out``); the named run cell
+    becomes a manifest with the scalar result only.
     """
     text = str(spec)
     path_part, _, fragment = text.partition("#")
@@ -182,6 +182,8 @@ def load_run(spec: str | Path) -> dict[str, Any]:
         if fragment not in cells:
             raise KeyError(f"{path_part}: no cell {fragment!r} (have {sorted(cells)})")
         cell = cells[fragment]
+        if "makespan_s" not in cell:
+            raise ValueError(f"{text}: a mapping cell has no makespan to diff")
         return {
             "kind": "repro-run-manifest",
             "manifest_version": 1,

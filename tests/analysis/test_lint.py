@@ -6,7 +6,7 @@ import pytest
 
 import repro
 from repro.analysis import iter_rules, lint_paths, lint_source
-from repro.analysis.lint import main
+from repro.cli import main as cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC_REPRO = Path(repro.__file__).parent
@@ -191,23 +191,28 @@ class TestRepoIsClean:
         assert lint_paths([SRC_REPRO]) == []
 
 
+LINT_CODES = ["RPR001", "RPR002", "RPR003", "RPR004", "RPR005"]
+
+
 class TestMainEntry:
+    """``repro lint`` is the entry point; ``--select`` runs this layer."""
+
     def test_clean_tree_exits_zero(self, capsys):
-        assert main([str(SRC_REPRO)]) == 0
+        assert cli_main(["lint", str(SRC_REPRO), "--select", *LINT_CODES]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_findings_exit_one(self, capsys):
-        assert main([str(FIXTURES)]) == 1
+        assert cli_main(["lint", str(FIXTURES), "--select", *LINT_CODES]) == 1
         out = capsys.readouterr().out
         assert "RPR001" in out and "11 findings" in out
 
     def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
+        assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("RPR001", "RPR005"):
             assert code in out
 
     def test_select_option(self, capsys):
-        assert main([str(FIXTURES), "--select", "RPR002"]) == 1
+        assert cli_main(["lint", str(FIXTURES), "--select", "RPR002"]) == 1
         out = capsys.readouterr().out
         assert "RPR002" in out and "RPR001" not in out

@@ -162,12 +162,14 @@ class TestCliAggregation:
         for n in range(1, 10):
             assert f"RPR00{n}" in out
 
-    def test_units_and_purity_subcommands(self, capsys, tmp_path):
+    def test_select_runs_one_layer(self, capsys, tmp_path):
         from repro.cli import main as cli_main
 
-        clean = tmp_path / "clean.py"
-        clean.write_text("def f(x):\n    return x\n")
-        assert cli_main(["units", str(clean)]) == 0
-        assert cli_main(["purity", str(clean)]) == 0
+        # Only an RPR001 finding: the units and purity layers alone pass.
+        src = tmp_path / "rng.py"
+        src.write_text("import random\nx = random.random()\n")
+        assert cli_main(["lint", str(src), "--select", "RPR006"]) == 0
+        assert cli_main(["lint", str(src), "--select", "RPR009"]) == 0
         out = capsys.readouterr().out
         assert out.count("clean: no findings") == 2
+        assert cli_main(["lint", str(src), "--select", "RPR001"]) == 1

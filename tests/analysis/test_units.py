@@ -15,7 +15,8 @@ from repro.analysis.dims import (
     Dim,
     convention_dim,
 )
-from repro.analysis.units import check_paths, check_source, iter_rules, main
+from repro.analysis.units import check_paths, check_source, iter_rules
+from repro.cli import main as cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures_units"
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -182,6 +183,17 @@ class TestRepoIsDimensionallyClean:
                 text = file.read_text()
                 for code in ("RPR006", "RPR007", "RPR008", "RPR009"):
                     assert code not in text, f"{file} suppresses {code}"
+
+
+UNITS_CODES = ["RPR006", "RPR007", "RPR008"]
+
+
+def main(args):
+    """``repro lint`` restricted to this layer (the CLI's one entry point)."""
+    if "--list-rules" in args:
+        return cli_main(["lint", *args])
+    select = [] if "--select" in args else ["--select", *UNITS_CODES]
+    return cli_main(["lint", *args, *select])
 
 
 class TestMainEntry:

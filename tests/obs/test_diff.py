@@ -107,6 +107,16 @@ class TestLoadRun:
         with pytest.raises(ValueError, match="#"):
             load_run(path)
 
+    def test_mapping_cell_raises(self, tmp_path):
+        doc = {
+            "kind": "repro-bench",
+            "cells": {"mapping/minmin/n600c32": {"kernel_stats": None}},
+        }
+        path = tmp_path / "BENCH.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="mapping cell"):
+            load_run(f"{path}#mapping/minmin/n600c32")
+
     def test_unknown_cell_raises(self, tmp_path):
         path = tmp_path / "BENCH.json"
         path.write_text(json.dumps({"kind": "repro-bench", "cells": {}}))

@@ -107,20 +107,19 @@ class TestTrajectoryIO:
         assert load_trajectory(tmp_path / "nope.jsonl") == []
 
     def test_append_then_load_round_trip(self, tmp_path):
-        from repro.experiments.bench import BenchCellResult, append_trajectory
+        from repro.experiments.bench import append_trajectory
 
-        cells = [
-            BenchCellResult(
-                cell="mapping/minmin/n600c32", kind="mapping", scheme="minmin",
-                num_tasks=600, num_compute=32, repeats=1,
-                reference_s=0.2, optimized_s=0.1,
-            ),
-            BenchCellResult(
-                cell="e2e/minmin/n120c8", kind="end_to_end", scheme="minmin",
-                num_tasks=120, num_compute=8, repeats=1,
-                reference_s=0.5, optimized_s=0.5,
-            ),
-        ]
+        cells = {
+            "mapping/minmin/n600c32": {
+                "digest": "0123456789abcdef", "reference_s": 0.2,
+                "optimized_s": 0.1, "speedup": 2.0,
+                "kernel_stats": {"rounds": 600},
+            },
+            "e2e/minmin/n120c8": {
+                "digest": "fedcba9876543210", "reference_s": 0.5,
+                "optimized_s": 0.5, "speedup": 1.0, "makespan_s": 38.7,
+            },
+        }
         path = tmp_path / "traj.jsonl"
         append_trajectory(cells, path, sha="cafe1234")
         append_trajectory(cells, path, sha="beef5678")
@@ -128,7 +127,11 @@ class TestTrajectoryIO:
         assert len(points) == 4
         assert points[0]["speedup"] == 2.0
         assert points[0]["sha"] == "cafe1234"
-        assert all(p["decision_checked"] for p in points)
+        assert points[0]["cell"] == "mapping/minmin/n600c32"
+        # Each point carries its cell's whole record.
+        assert points[1]["makespan_s"] == 38.7
+        assert points[3]["digest"] == "fedcba9876543210"
+        assert points[2]["kernel_stats"] == {"rounds": 600}
 
 
 class TestWriteReport:

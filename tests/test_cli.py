@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 class TestParser:
@@ -92,6 +95,35 @@ class TestCommands:
         )
         assert rc == 0
         out = capsys.readouterr().out
+        assert "x=transfer" in out
+
+    def test_gantt_row_equals_plain_row(self, capsys):
+        # Disk pressure makes eviction visible: a chart-only code path that
+        # skipped the scheduler's eviction hooks used to report more.
+        args = ["run", "--tasks", "60", "--compute", "4", "--disk-gb", "1",
+                "--schemes", "bipartition"]
+        rows = []
+        for extra in ([], ["--gantt"]):
+            assert main(args + extra) == 0
+            row = next(
+                line.split() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("bipartition")
+            )
+            del row[2]  # sched ms/task is wall-clock
+            rows.append(row)
+        assert rows[0] == rows[1]
+
+    def test_run_with_faults_and_gantt(self, capsys):
+        rc = main(
+            [
+                "run", "--tasks", "12", "--schemes", "minmin",
+                "--faults", str(EXAMPLES / "faults" / "crash-and-flaky.json"),
+                "--gantt",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "fault injection:" in out
         assert "x=transfer" in out
 
     def test_run_with_trace(self, tmp_path, capsys):
